@@ -23,7 +23,7 @@ LivenessMonitor::LivenessMonitor(CdnNetwork* network, const util::SimClock* cloc
 
 std::size_t LivenessMonitor::tick() {
   std::size_t applied = 0;
-  while (clock_->now() >= next_probe_) {
+  while (probe_due()) {
     for (std::size_t d = 0; d < network_->size(); ++d) {
       Deployment& deployment = network_->deployments()[d];
       for (std::size_t s = 0; s < deployment.servers.size(); ++s) {

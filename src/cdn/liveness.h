@@ -39,6 +39,15 @@ class LivenessMonitor {
   /// liveness transitions applied to the network.
   std::size_t tick();
 
+  /// Whether the clock has reached the next probe round, i.e. whether
+  /// tick() would probe. Time only moves through the clock, so a false
+  /// answer stays false until the clock next changes (see clock()).
+  [[nodiscard]] bool probe_due() const noexcept { return clock_->now() >= next_probe_; }
+
+  /// The clock that paces the probes; subscribe to it to learn when
+  /// probe_due() may have turned true.
+  [[nodiscard]] const util::SimClock& clock() const noexcept { return *clock_; }
+
   /// Probes performed so far.
   [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
   /// Transitions applied so far (dead->alive + alive->dead).

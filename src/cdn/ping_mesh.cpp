@@ -1,8 +1,23 @@
 #include "cdn/ping_mesh.h"
 
+#include <stdexcept>
+
 #include "util/hash.h"
 
 namespace eum::cdn {
+
+PingMesh PingMesh::from_matrix(std::size_t deployments, std::size_t targets,
+                               std::vector<float> rtt_ms, std::vector<float> loss_rate) {
+  if (rtt_ms.size() != deployments * targets || loss_rate.size() != rtt_ms.size()) {
+    throw std::invalid_argument{"PingMesh::from_matrix: matrices must be deployments x targets"};
+  }
+  PingMesh mesh;
+  mesh.rows_ = deployments;
+  mesh.cols_ = targets;
+  mesh.data_ = std::move(rtt_ms);
+  mesh.loss_ = std::move(loss_rate);
+  return mesh;
+}
 
 PingMesh PingMesh::measure(const topo::World& world, const CdnNetwork& network,
                            const topo::LatencyModel& latency) {

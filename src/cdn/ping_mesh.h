@@ -31,6 +31,12 @@ class PingMesh {
                                 std::span<const topo::DeploymentSite> sites,
                                 const topo::LatencyModel& latency);
 
+  /// A mesh from explicit row-major (deployments x targets) RTT and loss
+  /// matrices, e.g. replayed measurements. Throws std::invalid_argument on
+  /// a size mismatch.
+  static PingMesh from_matrix(std::size_t deployments, std::size_t targets,
+                              std::vector<float> rtt_ms, std::vector<float> loss_rate);
+
   [[nodiscard]] std::size_t deployment_count() const noexcept { return rows_; }
   [[nodiscard]] std::size_t target_count() const noexcept { return cols_; }
 
@@ -47,6 +53,11 @@ class PingMesh {
   /// Full latency row for one deployment.
   [[nodiscard]] std::span<const float> row(std::size_t d) const noexcept {
     return {data_.data() + d * cols_, cols_};
+  }
+
+  /// Full loss-rate row for one deployment.
+  [[nodiscard]] std::span<const float> loss_row(std::size_t d) const noexcept {
+    return {loss_.data() + d * cols_, cols_};
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -10,20 +11,53 @@ namespace eum::cdn {
 
 namespace {
 
-/// Keep the best `k` candidates from a full score column. Ties break by
-/// deployment id so the result is a pure function of the scores — the
-/// control plane's incremental rebuilds rely on full and delta scoring
-/// passes producing bit-identical candidate tables.
-void select_top_k(std::vector<Candidate>& scratch, std::size_t k, Candidate* out) {
-  const std::size_t keep = std::min(k, scratch.size());
-  std::partial_sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scratch.end(), [](const Candidate& a, const Candidate& b) {
-                      if (a.score_ms != b.score_ms) return a.score_ms < b.score_ms;
-                      return a.deployment < b.deployment;
-                    });
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = i < keep ? scratch[i] : Candidate{0, std::numeric_limits<float>::infinity()};
+/// Fold `c` into a best-first row holding `fill` (<= k) entries under the
+/// (score, deployment id) order. Callers fold deployments in ascending id
+/// order, so on an equal score the incumbent ranks first: `c` only moves
+/// ahead of strictly worse entries, and enters a full row only when it
+/// beats the k-th.
+void fold(Candidate* row, std::size_t& fill, std::size_t k, Candidate c) {
+  std::size_t i = 0;
+  if (fill < k) {
+    i = fill++;
+  } else if (c.score_ms < row[k - 1].score_ms) {
+    i = k - 1;
+  } else {
+    return;
   }
+  for (; i > 0 && row[i - 1].score_ms > c.score_ms; --i) row[i] = row[i - 1];
+  row[i] = c;
+}
+
+/// Pad a row's unfilled tail with the {0, +inf} "no candidate" sentinel.
+void pad(Candidate* row, std::size_t fill, std::size_t k) {
+  std::fill(row + fill, row + k, Candidate{0, std::numeric_limits<float>::infinity()});
+}
+
+template <typename ScoreFn>
+void fold_rows(const PingMesh& mesh, std::span<const topo::PingTargetId> targets,
+               std::span<const std::uint8_t> alive, std::size_t k, Candidate* out,
+               ScoreFn score_of) {
+  const std::size_t n = targets.size();
+  std::vector<std::size_t> fill(n, 0);
+  // worst[i]: row i's k-th score once full (+inf until then), so the
+  // common case — a score that misses row i's top k — is one compare and
+  // touches no row.
+  std::vector<float> worst(n, std::numeric_limits<float>::infinity());
+  for (std::size_t d = 0; d < mesh.deployment_count(); ++d) {
+    if (!alive.empty() && alive[d] == 0) continue;
+    const float* rtt = mesh.row(d).data();
+    const float* loss = mesh.loss_row(d).data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const topo::PingTargetId t = targets[i];
+      const float score = score_of(rtt[t], loss[t]);
+      if (fill[i] == k && !(score < worst[i])) continue;
+      Candidate* row = out + i * k;
+      fold(row, fill[i], k, Candidate{static_cast<DeploymentId>(d), score});
+      if (fill[i] == k) worst[i] = row[k - 1].score_ms;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) pad(out + i * k, fill[i], k);
 }
 
 }  // namespace
@@ -41,6 +75,32 @@ float path_score(TrafficClass klass, float rtt_ms, float loss_rate) noexcept {
   return rtt_ms;
 }
 
+void top_k_by_target(const PingMesh& mesh, TrafficClass klass,
+                     std::span<const topo::PingTargetId> targets,
+                     std::span<const std::uint8_t> alive, std::size_t k,
+                     std::span<Candidate> out) {
+  if (k == 0 || out.size() != targets.size() * k) {
+    throw std::invalid_argument{"top_k_by_target: out must hold k > 0 rows per target"};
+  }
+  if (!alive.empty() && alive.size() != mesh.deployment_count()) {
+    throw std::invalid_argument{"top_k_by_target: alive mask must cover every deployment"};
+  }
+  // One instantiation per class keeps the score function out of the
+  // inner loop's branches.
+  switch (klass) {
+    case TrafficClass::web:
+      fold_rows(mesh, targets, alive, k, out.data(), [](float rtt, float /*loss*/) {
+        return path_score(TrafficClass::web, rtt, 0.0F);
+      });
+      return;
+    case TrafficClass::video:
+      fold_rows(mesh, targets, alive, k, out.data(), [](float rtt, float loss) {
+        return path_score(TrafficClass::video, rtt, loss);
+      });
+      return;
+  }
+}
+
 Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, const PingMesh& mesh,
                        std::size_t top_k, TrafficClass klass, bool cluster_scores) {
   if (top_k == 0) throw std::invalid_argument{"Scoring::build: top_k must be positive"};
@@ -53,18 +113,11 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
   scoring.target_count_ = mesh.target_count();
   const std::size_t n_dep = mesh.deployment_count();
 
-  // Per ping target: one column scan of the mesh.
+  // Per ping target: one deployment-major pass over the mesh.
   scoring.by_target_.resize(scoring.target_count_ * top_k);
-  std::vector<Candidate> scratch(n_dep);
-  for (std::size_t t = 0; t < scoring.target_count_; ++t) {
-    const auto target = static_cast<topo::PingTargetId>(t);
-    for (std::size_t d = 0; d < n_dep; ++d) {
-      scratch[d] = Candidate{static_cast<DeploymentId>(d),
-                             path_score(klass, mesh.rtt_ms(d, target),
-                                        mesh.loss_rate(d, target))};
-    }
-    select_top_k(scratch, top_k, &scoring.by_target_[t * top_k]);
-  }
+  std::vector<topo::PingTargetId> targets(scoring.target_count_);
+  std::iota(targets.begin(), targets.end(), topo::PingTargetId{0});
+  top_k_by_target(mesh, klass, targets, {}, top_k, scoring.by_target_);
 
   // Per LDNS cluster: traffic-weighted member targets.
   // Member weights: demand x use-fraction of each block, grouped by the
@@ -91,15 +144,18 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
     scoring.cluster_has_data_[l] = true;
     double wsum = 0.0;
     for (const auto& [target, weight] : members[l]) wsum += weight;
+    Candidate* row = &scoring.by_cluster_[l * top_k];
+    std::size_t fill = 0;
     for (std::size_t d = 0; d < n_dep; ++d) {
       double score = 0.0;
       for (const auto& [target, weight] : members[l]) {
         score += weight * static_cast<double>(
                               path_score(klass, mesh.rtt_ms(d, target), mesh.loss_rate(d, target)));
       }
-      scratch[d] = Candidate{static_cast<DeploymentId>(d), static_cast<float>(score / wsum)};
+      fold(row, fill, top_k,
+           Candidate{static_cast<DeploymentId>(d), static_cast<float>(score / wsum)});
     }
-    select_top_k(scratch, top_k, &scoring.by_cluster_[l * top_k]);
+    pad(row, fill, top_k);
   }
   return scoring;
 }

@@ -37,6 +37,22 @@ struct Candidate {
   friend bool operator==(const Candidate&, const Candidate&) = default;
 };
 
+/// The top-k kernel behind every candidate table. For each targets[i],
+/// writes the best `k` deployments among those with alive[d] != 0 (every
+/// deployment when `alive` is empty) to out[i*k, i*k + k), best first
+/// under the (score, deployment id) total order; fewer than k eligible
+/// deployments pad with {0, +inf}. The order is total, so the output is a
+/// pure function of the scores: full and delta rebuilds agree bit for bit.
+///
+/// Deployment-major: each eligible deployment's mesh row is read once,
+/// front to back, folding every requested target into a running top-k.
+/// The mesh is row-major, so a per-target column scan would stride a full
+/// row between consecutive loads.
+void top_k_by_target(const PingMesh& mesh, TrafficClass klass,
+                     std::span<const topo::PingTargetId> targets,
+                     std::span<const std::uint8_t> alive, std::size_t k,
+                     std::span<Candidate> out);
+
 class Scoring {
  public:
   /// Build candidate lists. `top_k` deployments are retained per unit,

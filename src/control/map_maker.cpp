@@ -1,5 +1,6 @@
 #include "control/map_maker.h"
 
+#include <optional>
 #include <stdexcept>
 
 namespace eum::control {
@@ -54,6 +55,9 @@ MapMaker::MapMaker(cdn::MappingSystem* mapping, const util::SimClock* clock,
   publishes_ = &registry_->counter("eum_control_publishes_total", "map snapshots published");
   publishes_skipped_ = &registry_->counter("eum_control_publishes_skipped_total",
                                            "rebuilds skipped as serving-identical");
+  rebuild_failures_ = &registry_->counter(
+      "eum_control_rebuild_failures_total",
+      "background probes or rebuilds that threw; the last good map kept serving");
   delta_rebuilds_ = &registry_->counter("eum_control_delta_rebuilds_total",
                                         "rebuilds that took the incremental path");
   units_rescored_ = &registry_->counter("eum_control_units_rescored_total",
@@ -163,44 +167,74 @@ void MapMaker::start(std::chrono::milliseconds interval) {
     stop_requested_ = false;
     rebuild_requested_ = false;
   }
+  if (monitor_ != nullptr) {
+    // Locking wake_mutex_ before notifying closes the lost-wake-up window:
+    // either run_loop has not yet evaluated its predicate (and will see the
+    // new time), or it is already blocked in wait and gets the notify.
+    clock_wake_ = monitor_->clock().subscribe([this] {
+      { const std::scoped_lock lock{wake_mutex_}; }
+      wake_.notify_all();
+    });
+  }
   thread_ = std::thread{[this, interval] { run_loop(interval); }};
 }
 
 void MapMaker::run_loop(std::chrono::milliseconds interval) {
-  // With a watched monitor the thread wakes on a short poll slice, drives
-  // the monitor's probes itself (single-writer discipline: only this
-  // thread mutates the network's liveness flags while serving runs), and
-  // force-publishes on any transition — the paper's "liveness changes
-  // reach the name servers in seconds" requirement. Without a monitor
-  // each wake is a periodic republish, as before.
-  const std::chrono::milliseconds slice =
-      monitor_ != nullptr
-          ? std::min(interval, std::max(std::chrono::milliseconds{1}, config_.liveness_poll))
-          : interval;
+  // With a watched monitor the thread sleeps until a probe round comes due
+  // — the clock's subscription wakes it on every change — then drives the
+  // monitor's probes itself (single-writer discipline: only this thread
+  // mutates the network's liveness flags while serving runs) and
+  // force-publishes on any transition: the paper's "liveness changes reach
+  // the name servers in seconds" requirement. Every wait also ends on a
+  // request, on stop, and at the periodic cadence.
+  //
+  // Fail-static: a throwing probe or rebuild is counted and the published
+  // map stays. A failed liveness rebuild leaves its transitions unseen, so
+  // the next due probe retries it; a failed forced rebuild is redone at the
+  // next wake. A probe round that threw stays due, so it is retried only
+  // once the clock has moved past the time it failed at — never in a spin.
   auto last_periodic = std::chrono::steady_clock::now();
+  bool retry_forced = false;
+  std::optional<util::SimTime> failed_probe_at;
+  const auto probe_ready = [&] {
+    return monitor_ != nullptr && monitor_->probe_due() &&
+           monitor_->clock().now() != failed_probe_at;
+  };
   std::unique_lock lock{wake_mutex_};
   while (!stop_requested_) {
-    wake_.wait_for(lock, slice,
-                   [this] { return stop_requested_ || rebuild_requested_; });
+    (void)wake_.wait_until(lock, last_periodic + interval, [&] {
+      return stop_requested_ || rebuild_requested_ || probe_ready();
+    });
     if (stop_requested_) break;
-    const bool on_demand = rebuild_requested_;
+    const bool on_demand = rebuild_requested_ || retry_forced;
     rebuild_requested_ = false;
     lock.unlock();
-    bool transitioned = false;
-    if (monitor_ != nullptr) {
-      (void)monitor_->tick();
-      transitioned =
-          monitor_->transitions() != transitions_seen_.load(std::memory_order_relaxed);
-    }
-    const bool periodic_due = std::chrono::steady_clock::now() - last_periodic >= interval;
-    if (transitioned || on_demand || periodic_due) {
-      // Liveness transitions and explicit requests must publish even when
-      // serving-identical; reason priority mirrors the urgency.
-      const RebuildReason reason = transitioned ? RebuildReason::liveness
-                                   : on_demand  ? RebuildReason::requested
-                                                : RebuildReason::periodic;
-      (void)rebuild_with_reason(/*force=*/transitioned || on_demand, reason);
-      refresh_gauges();
+    const util::SimTime probe_time =
+        monitor_ != nullptr ? monitor_->clock().now() : util::SimTime{};
+    try {
+      bool transitioned = false;
+      if (monitor_ != nullptr) {
+        (void)monitor_->tick();
+        transitioned =
+            monitor_->transitions() != transitions_seen_.load(std::memory_order_relaxed);
+      }
+      if (transitioned || on_demand ||
+          std::chrono::steady_clock::now() - last_periodic >= interval) {
+        // Liveness transitions and explicit requests must publish even when
+        // serving-identical; reason priority mirrors the urgency.
+        const RebuildReason reason = transitioned ? RebuildReason::liveness
+                                     : on_demand  ? RebuildReason::requested
+                                                  : RebuildReason::periodic;
+        (void)rebuild_with_reason(/*force=*/transitioned || on_demand, reason);
+        refresh_gauges();
+        last_periodic = std::chrono::steady_clock::now();
+      }
+      retry_forced = false;
+      failed_probe_at.reset();
+    } catch (...) {
+      rebuild_failures_->add();
+      retry_forced = on_demand;
+      if (monitor_ != nullptr && monitor_->probe_due()) failed_probe_at = probe_time;
       last_periodic = std::chrono::steady_clock::now();
     }
     lock.lock();
@@ -213,6 +247,7 @@ void MapMaker::stop() {
     stop_requested_ = true;
   }
   wake_.notify_all();
+  clock_wake_.reset();
   if (thread_.joinable()) thread_.join();
 }
 

@@ -17,7 +17,13 @@
 //     LivenessMonitor reports transitions — the on-demand trigger).
 //   - start(interval): a background thread republishing on a wall-clock
 //     cadence, for the real UDP serving stack; request_rebuild() wakes it
-//     early (the "push a new map now" path after an incident).
+//     early (the "push a new map now" path after an incident). With a
+//     watched LivenessMonitor the thread also sleeps on the monitor's
+//     SimClock: every clock change wakes it, and it probes and remaps as
+//     soon as a probe round comes due — no polling, so a liveness
+//     transition is routed around in one rebuild's time. An exception
+//     from a background probe or rebuild is counted and the last good map
+//     keeps serving (fail-static); the thread retries on its next wake.
 //
 // Rebuilds read the mutable CdnNetwork (liveness flags): run liveness
 // ticks and rebuilds from one thread, or synchronize them externally.
@@ -67,10 +73,6 @@ struct MapMakerConfig {
   /// Latency-vector quantization for the unit partition (see
   /// MappingUnitsConfig::epsilon_ms; 0 = exact grouping).
   float unit_epsilon_ms = 0.0F;
-  /// How often the background thread polls the watched LivenessMonitor
-  /// between periodic rebuilds. Bounds re-map latency after a transition;
-  /// clamped to the republish interval.
-  std::chrono::milliseconds liveness_poll{5};
   /// Test seam: runs on the rebuild thread after the snapshot is built
   /// but before it is published — the window where a liveness transition
   /// is too late for the built map and must survive into the next tick.
@@ -135,10 +137,11 @@ class MapMaker {
 
   /// Watch a liveness monitor (borrowed). tick() treats new transitions
   /// as an on-demand rebuild trigger, publishing even when the periodic
-  /// interval has not elapsed; the background thread (start()) drives the
-  /// monitor's probes itself and force-publishes on every transition, in
-  /// liveness_poll-bounded time. Install before start() — the monitor is
-  /// probed from the rebuild thread.
+  /// interval has not elapsed. The background thread (start()) subscribes
+  /// to the monitor's clock, runs the monitor's probes itself whenever a
+  /// probe round comes due and force-publishes on every transition.
+  /// Install before start() — the monitor is probed from the rebuild
+  /// thread only, and its clock must outlive the running thread.
   void watch(cdn::LivenessMonitor* monitor) noexcept { monitor_ = monitor; }
 
   /// Synchronous rebuild (reason: manual). With `force` (or
@@ -152,7 +155,8 @@ class MapMaker {
   /// if a rebuild ran.
   bool tick();
 
-  /// Start the background republish thread (idempotent).
+  /// Start the background republish thread (idempotent). With a watched
+  /// monitor, also subscribe to its clock (stop() unsubscribes).
   void start(std::chrono::milliseconds interval);
 
   /// Stop and join the background thread; idempotent (also run by the
@@ -171,6 +175,10 @@ class MapMaker {
   [[nodiscard]] std::uint64_t publishes() const noexcept { return publishes_->value(); }
   [[nodiscard]] std::uint64_t skipped_publishes() const noexcept {
     return publishes_skipped_->value();
+  }
+  /// Background probes/rebuilds that threw; the previous map kept serving.
+  [[nodiscard]] std::uint64_t rebuild_failures() const noexcept {
+    return rebuild_failures_->value();
   }
   [[nodiscard]] std::uint64_t rebuilds_for(RebuildReason reason) const noexcept {
     return rebuilds_by_reason_[static_cast<std::size_t>(reason)]->value();
@@ -214,6 +222,8 @@ class MapMaker {
   std::condition_variable wake_;
   bool stop_requested_ = false;
   bool rebuild_requested_ = false;
+  /// Wakes the thread on every change of the watched monitor's clock.
+  util::SimClock::Subscription clock_wake_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
@@ -223,6 +233,7 @@ class MapMaker {
   obs::Counter* rebuilds_by_reason_[kRebuildReasons];
   obs::Counter* publishes_;
   obs::Counter* publishes_skipped_;
+  obs::Counter* rebuild_failures_;
   obs::Counter* delta_rebuilds_;
   obs::Counter* units_rescored_;
   obs::Gauge* mapping_units_;

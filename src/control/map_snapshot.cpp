@@ -9,26 +9,6 @@
 
 namespace eum::control {
 
-namespace {
-
-/// Keep the best `k` live candidates from a scratch column. Identical
-/// ordering contract to cdn::Scoring's select_top_k — (score, id) is a
-/// total order, so full and delta scoring passes are bit-identical and a
-/// fresh all-alive unit list equals the live per-target list.
-void select_top_k(std::vector<cdn::Candidate>& scratch, std::size_t k, cdn::Candidate* out) {
-  const std::size_t keep = std::min(k, scratch.size());
-  std::partial_sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scratch.end(), [](const cdn::Candidate& a, const cdn::Candidate& b) {
-                      if (a.score_ms != b.score_ms) return a.score_ms < b.score_ms;
-                      return a.deployment < b.deployment;
-                    });
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = i < keep ? scratch[i] : cdn::Candidate{0, std::numeric_limits<float>::infinity()};
-  }
-}
-
-}  // namespace
-
 LoadLedger::LoadLedger(std::size_t clusters)
     : size_(clusters), loads_(std::make_unique<std::atomic<double>[]>(clusters)) {
   for (std::size_t i = 0; i < size_; ++i) loads_[i].store(0.0, std::memory_order_relaxed);
@@ -112,34 +92,38 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
   const std::size_t top_k = snapshot->top_k_;
   snapshot->by_unit_.resize(n_units * top_k);
 
-  std::vector<char> alive(n_deps, 0);
+  std::vector<std::uint8_t> alive(n_deps, 0);
   for (std::size_t d = 0; d < n_deps; ++d) {
     alive[d] = snapshot->clusters_[d].servers.empty() ? 0 : 1;
   }
 
-  const auto score_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
-    const topo::PingTargetId rep = inputs.units->representative(
-        static_cast<MappingUnits::UnitId>(u));
-    scratch.clear();
-    for (std::size_t d = 0; d < n_deps; ++d) {
-      if (alive[d] == 0) continue;
-      scratch.push_back(cdn::Candidate{
-          static_cast<cdn::DeploymentId>(d),
-          cdn::path_score(klass, mesh.rtt_ms(d, rep), mesh.loss_rate(d, rep))});
-    }
-    select_top_k(scratch, top_k, &snapshot->by_unit_[u * top_k]);
-  };
-
-  // Shard a unit list across the pool: contiguous stripes, one scratch
-  // buffer per job (jobs outnumber workers so stripes stay balanced even
-  // when some units are costlier than others).
+  // Score a unit list (all units when `subset` is null) with the
+  // deployment-major kernel on each unit's representative target. Sharded
+  // across the pool in contiguous stripes; jobs outnumber workers so
+  // stripes stay balanced even when some are costlier than others.
   const auto score_all = [&](const std::vector<std::uint32_t>* subset) {
     const std::size_t count = subset != nullptr ? subset->size() : n_units;
+    const auto unit_at = [&](std::size_t i) -> std::size_t {
+      return subset != nullptr ? (*subset)[i] : i;
+    };
     const auto run_range = [&](std::size_t lo, std::size_t hi) {
-      std::vector<cdn::Candidate> scratch;
-      scratch.reserve(n_deps);
+      std::vector<topo::PingTargetId> reps(hi - lo);
       for (std::size_t i = lo; i < hi; ++i) {
-        score_unit(subset != nullptr ? (*subset)[i] : i, scratch);
+        reps[i - lo] =
+            inputs.units->representative(static_cast<MappingUnits::UnitId>(unit_at(i)));
+      }
+      if (subset == nullptr) {
+        cdn::top_k_by_target(
+            mesh, klass, reps, alive, top_k,
+            std::span{snapshot->by_unit_}.subspan(lo * top_k, (hi - lo) * top_k));
+        return;
+      }
+      // A subset is scattered over the table: score into a dense buffer.
+      std::vector<cdn::Candidate> rows(reps.size() * top_k);
+      cdn::top_k_by_target(mesh, klass, reps, alive, top_k, rows);
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>((i - lo) * top_k), top_k,
+                    snapshot->by_unit_.begin() + static_cast<std::ptrdiff_t>(unit_at(i) * top_k));
       }
     };
     if (inputs.pool != nullptr && inputs.pool->worker_count() > 0 && count >= 256) {
@@ -147,7 +131,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
           std::min(count, (inputs.pool->worker_count() + 1) * std::size_t{8});
       const std::size_t stripe = (count + jobs - 1) / jobs;
       inputs.pool->run(jobs, [&](std::size_t job) {
-        const std::size_t lo = job * stripe;
+        const std::size_t lo = std::min(job * stripe, count);
         run_range(lo, std::min(lo + stripe, count));
       });
     } else {

@@ -13,8 +13,9 @@
 //
 // Scale structure (paper §5, "two orders of magnitude more mapping
 // units"): scoring happens per MappingUnit, not per target — one
-// representative column per group of latency-equivalent targets — and is
-// sharded across a ShardPool. When the previous snapshot is supplied, a
+// representative target per group of latency-equivalent targets, scored
+// by cdn::top_k_by_target's deployment-major pass — and is sharded
+// across a ShardPool. When the previous snapshot is supplied, a
 // build is a *delta*: only units whose candidate lists can be affected by
 // the liveness transitions since that snapshot are re-scored; the rest
 // copy over. The liveness-independent CANS table and the unit partition
@@ -169,7 +170,7 @@ class MapSnapshot {
   [[nodiscard]] const MappingUnits& units() const noexcept { return *units_; }
 
   /// The candidate list scored for a unit: the best top_k *live*
-  /// deployments by the representative column, (score, id)-ordered,
+  /// deployments by the representative target, (score, id)-ordered,
   /// infinity-padded when fewer than top_k are alive.
   [[nodiscard]] std::span<const cdn::Candidate> unit_candidates(MappingUnits::UnitId unit) const {
     return {by_unit_.data() + static_cast<std::size_t>(unit) * top_k_, top_k_};

@@ -65,4 +65,27 @@ std::string month_name(int month) {
   return kMonthNames[static_cast<std::size_t>(month - 1)];
 }
 
+SimClock::Subscription SimClock::subscribe(std::function<void()> on_change) const {
+  const std::scoped_lock lock{subscribers_mutex_};
+  const std::uint64_t id = next_subscriber_id_++;
+  subscribers_.emplace_back(id, std::move(on_change));
+  subscriber_count_.store(subscribers_.size(), std::memory_order_seq_cst);
+  return Subscription{this, id};
+}
+
+void SimClock::unsubscribe(std::uint64_t id) const noexcept {
+  const std::scoped_lock lock{subscribers_mutex_};
+  std::erase_if(subscribers_, [id](const auto& entry) { return entry.first == id; });
+  subscriber_count_.store(subscribers_.size(), std::memory_order_seq_cst);
+}
+
+void SimClock::notify_subscribers() const noexcept {
+  const std::scoped_lock lock{subscribers_mutex_};
+  for (const auto& entry : subscribers_) entry.second();
+}
+
+void SimClock::Subscription::reset() noexcept {
+  if (clock_ != nullptr) std::exchange(clock_, nullptr)->unsubscribe(id_);
+}
+
 }  // namespace eum::util

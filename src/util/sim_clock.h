@@ -9,7 +9,11 @@
 #include <atomic>
 #include <compare>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace eum::util {
 
@@ -67,27 +71,86 @@ struct Date {
 
 /// A mutable simulation clock shared by simulation components.
 ///
-/// Reads and writes are individually atomic (relaxed): a test thread may
+/// Reads and writes of the time are individually atomic: a test thread may
 /// advance simulated time while the map maker's rebuild thread samples it.
-/// There is no cross-thread ordering guarantee beyond the value itself —
-/// the clock carries time, not synchronization.
+/// The clock carries time, not synchronization, with one exception:
+/// components that act when time moves (the map maker's liveness probes)
+/// subscribe() and are called back after every advance() / set().
+///
+/// Wake-up contract: a subscriber that registers and then reads now() either
+/// sees a concurrent advance's value or is called back by that advance. The
+/// time and the subscriber count are both seq_cst (a store/load pair on each
+/// side, Dekker-style); with no subscribers, advance() costs one load of the
+/// count on top of the time update (a plain mov on x86, like a relaxed load).
 class SimClock {
  public:
+  /// RAII registration of a change callback. Destroying or reset()ting it
+  /// unsubscribes; once that returns the callback is not running and will
+  /// never run again, so the subscriber may be destroyed. The clock must
+  /// outlive the subscription, which must not be reset from inside its own
+  /// callback.
+  class Subscription {
+   public:
+    Subscription() = default;
+    Subscription(Subscription&& other) noexcept
+        : clock_(std::exchange(other.clock_, nullptr)), id_(other.id_) {}
+    Subscription& operator=(Subscription&& other) noexcept {
+      if (this != &other) {
+        reset();
+        clock_ = std::exchange(other.clock_, nullptr);
+        id_ = other.id_;
+      }
+      return *this;
+    }
+    Subscription(const Subscription&) = delete;
+    Subscription& operator=(const Subscription&) = delete;
+    ~Subscription() { reset(); }
+
+    void reset() noexcept;
+
+   private:
+    friend class SimClock;
+    Subscription(const SimClock* clock, std::uint64_t id) noexcept : clock_(clock), id_(id) {}
+
+    const SimClock* clock_ = nullptr;
+    std::uint64_t id_ = 0;
+  };
+
   SimClock() = default;
   explicit SimClock(SimTime start) noexcept : now_(start.seconds()) {}
   SimClock(const SimClock&) = delete;
   SimClock& operator=(const SimClock&) = delete;
 
   [[nodiscard]] SimTime now() const noexcept {
-    return SimTime{now_.load(std::memory_order_relaxed)};
+    return SimTime{now_.load(std::memory_order_seq_cst)};
   }
   void advance(std::int64_t seconds) noexcept {
-    now_.fetch_add(seconds, std::memory_order_relaxed);
+    now_.fetch_add(seconds, std::memory_order_seq_cst);
+    notify();
   }
-  void set(SimTime t) noexcept { now_.store(t.seconds(), std::memory_order_relaxed); }
+  void set(SimTime t) noexcept {
+    now_.store(t.seconds(), std::memory_order_seq_cst);
+    notify();
+  }
+
+  /// Call `on_change` on the advancing thread after every later advance()
+  /// or set(). Callbacks run one at a time, under the clock's subscriber
+  /// lock: they must be short and must not subscribe or unsubscribe. A
+  /// const clock accepts subscribers — observing time does not change it.
+  [[nodiscard]] Subscription subscribe(std::function<void()> on_change) const;
 
  private:
+  void notify() const noexcept {
+    if (subscriber_count_.load(std::memory_order_seq_cst) != 0) notify_subscribers();
+  }
+  void notify_subscribers() const noexcept;
+  void unsubscribe(std::uint64_t id) const noexcept;
+
   std::atomic<std::int64_t> now_{0};
+  mutable std::atomic<std::size_t> subscriber_count_{0};
+  mutable std::mutex subscribers_mutex_;
+  mutable std::vector<std::pair<std::uint64_t, std::function<void()>>> subscribers_;
+  mutable std::uint64_t next_subscriber_id_ = 0;
 };
 
 }  // namespace eum::util

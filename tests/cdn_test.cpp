@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "cdn/load_balancer.h"
 #include "cdn/mapping.h"
@@ -8,6 +12,7 @@
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
 #include "test_world.h"
+#include "util/rng.h"
 
 namespace eum::cdn {
 namespace {
@@ -118,6 +123,120 @@ TEST(Scoring, TopKLargerThanDeploymentsPadsWithInfinity) {
   ASSERT_EQ(candidates.size(), 6U);
   EXPECT_TRUE(std::isfinite(candidates[2].score_ms));
   EXPECT_FALSE(std::isfinite(candidates[3].score_ms));
+}
+
+// ---------- top_k_by_target (the deployment-major kernel) ----------
+
+/// Brute-force reference: a per-target column scan and a partial_sort
+/// under the (score, deployment id) order, padded with {0, +inf}.
+std::vector<Candidate> reference_top_k(const PingMesh& mesh, TrafficClass klass,
+                                       const std::vector<topo::PingTargetId>& targets,
+                                       const std::vector<std::uint8_t>& alive, std::size_t k) {
+  std::vector<Candidate> out;
+  for (const topo::PingTargetId t : targets) {
+    std::vector<Candidate> column;
+    for (std::size_t d = 0; d < mesh.deployment_count(); ++d) {
+      if (!alive.empty() && alive[d] == 0) continue;
+      column.push_back(Candidate{static_cast<DeploymentId>(d),
+                                 path_score(klass, mesh.rtt_ms(d, t), mesh.loss_rate(d, t))});
+    }
+    const std::size_t keep = std::min(k, column.size());
+    std::partial_sort(column.begin(), column.begin() + static_cast<std::ptrdiff_t>(keep),
+                      column.end(), [](const Candidate& a, const Candidate& b) {
+                        if (a.score_ms != b.score_ms) return a.score_ms < b.score_ms;
+                        return a.deployment < b.deployment;
+                      });
+    for (std::size_t i = 0; i < k; ++i) {
+      out.push_back(i < keep ? column[i]
+                             : Candidate{0, std::numeric_limits<float>::infinity()});
+    }
+  }
+  return out;
+}
+
+/// Candidate arrays equal bit for bit (ids and score bit patterns).
+bool bit_identical(const std::vector<Candidate>& a, const std::vector<Candidate>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].deployment != b[i].deployment ||
+        std::bit_cast<std::uint32_t>(a[i].score_ms) !=
+            std::bit_cast<std::uint32_t>(b[i].score_ms)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TopKKernel, MatchesPartialSortReferenceOnRandomMeshes) {
+  util::Rng rng{0x70b4};
+  const auto below = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t deployments = 1 + below(40);
+    const std::size_t n_targets = 1 + below(30);
+    // Scores from a handful of values force ties; some paths are +inf.
+    std::vector<float> rtt(deployments * n_targets);
+    std::vector<float> loss(rtt.size());
+    for (std::size_t i = 0; i < rtt.size(); ++i) {
+      rtt[i] = below(8) == 0 ? inf : static_cast<float>(below(6)) * 2.5F;
+      loss[i] = static_cast<float>(below(4)) * 0.01F;
+    }
+    const PingMesh mesh = PingMesh::from_matrix(deployments, n_targets, rtt, loss);
+    // Alive masks: all (empty span), sparse, dense, or none alive.
+    std::vector<std::uint8_t> alive;
+    const std::size_t mode = below(4);
+    if (mode != 0) {
+      alive.resize(deployments);
+      for (auto& a : alive) {
+        a = mode == 1 ? static_cast<std::uint8_t>(below(5) == 0)
+            : mode == 2 ? static_cast<std::uint8_t>(below(5) != 0)
+                        : std::uint8_t{0};
+      }
+    }
+    // Requested targets: any order, repeats allowed.
+    std::vector<topo::PingTargetId> targets(1 + below(2 * n_targets));
+    for (auto& t : targets) t = static_cast<topo::PingTargetId>(below(n_targets));
+    // k from 1 up to past the deployment count.
+    const std::size_t k = 1 + below(deployments + 4);
+    for (const TrafficClass klass : {TrafficClass::web, TrafficClass::video}) {
+      std::vector<Candidate> got(targets.size() * k, Candidate{7, -1.0F});
+      top_k_by_target(mesh, klass, targets, alive, k, got);
+      ASSERT_TRUE(bit_identical(got, reference_top_k(mesh, klass, targets, alive, k)))
+          << "trial " << trial << " class " << static_cast<int>(klass) << " k " << k
+          << " deployments " << deployments << " alive mode " << mode;
+    }
+  }
+}
+
+TEST(TopKKernel, MatchesScoringTablesOnAMeasuredMesh) {
+  const auto& world = tiny_world();
+  const CdnNetwork network = CdnNetwork::build(world, 30);
+  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
+  std::vector<topo::PingTargetId> targets(mesh.target_count());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    targets[t] = static_cast<topo::PingTargetId>(t);
+  }
+  for (const TrafficClass klass : {TrafficClass::web, TrafficClass::video}) {
+    std::vector<Candidate> got(targets.size() * 8);
+    top_k_by_target(mesh, klass, targets, {}, 8, got);
+    EXPECT_TRUE(bit_identical(got, reference_top_k(mesh, klass, targets, {}, 8)));
+  }
+}
+
+TEST(TopKKernel, RejectsMisSizedOutputsAndMasks) {
+  const PingMesh mesh = PingMesh::from_matrix(2, 3, std::vector<float>(6, 1.0F),
+                                              std::vector<float>(6, 0.0F));
+  const std::vector<topo::PingTargetId> targets{0, 2};
+  std::vector<Candidate> out(4);
+  EXPECT_THROW(top_k_by_target(mesh, TrafficClass::web, targets, {}, 3, out),
+               std::invalid_argument);
+  EXPECT_THROW(top_k_by_target(mesh, TrafficClass::web, targets, {}, 0, out),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> short_mask{1};
+  EXPECT_THROW(top_k_by_target(mesh, TrafficClass::web, targets, short_mask, 2, out),
+               std::invalid_argument);
+  EXPECT_THROW(PingMesh::from_matrix(2, 2, std::vector<float>(3), std::vector<float>(3)),
+               std::invalid_argument);
 }
 
 TEST(Scoring, ClusterCandidatesFavorClientCentroid) {

@@ -3,7 +3,9 @@
 // (differentially pinned against full rebuilds), and the two liveness
 // regression suites — the background thread that must notice a watched
 // monitor, and the mid-build transition that must survive to the next
-// tick. ShardedConcurrency runs under TSan via scripts/tsan_check.sh.
+// tick — plus the clock-wake protocol and fail-static background
+// rebuilds. ShardedConcurrency and MapMakerLiveness run under TSan via
+// scripts/tsan_check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -255,8 +257,8 @@ struct LivenessFixture {
 // Headline bug: a MapMaker driven by start() (background-thread mode)
 // never consulted its watched LivenessMonitor, so a cluster death was
 // only routed around at the next periodic rebuild — here pushed out to
-// ~forever. The fixed loop probes the monitor every liveness_poll and
-// force-publishes on a transition.
+// ~forever. The fixed loop wakes whenever the monitor's clock makes a
+// probe due, probes, and force-publishes on a transition.
 TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
   LivenessFixture fx;
   util::SimClock clock;
@@ -270,7 +272,6 @@ TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
 
   MapMakerConfig config;
   config.rescore_interval_s = 1'000'000;  // periodic rebuilds out of the picture
-  config.liveness_poll = 1ms;
   MapMaker maker{&fx.mapping, &clock, config};
   maker.watch(&monitor);
 
@@ -295,8 +296,8 @@ TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
   ASSERT_GE(maker.rebuilds_for(RebuildReason::liveness), 1U)
       << "background thread never reacted to the liveness transition";
   // Bound the re-map latency: well under the 10s deadline even under
-  // sanitizer overhead (the poll slice is 1ms; probes were due within a
-  // few advances).
+  // sanitizer overhead (each advance wakes the thread; probes were due
+  // within a few advances).
   EXPECT_LT(detected_at - flipped_at, 5s);
   const auto snapshot = maker.current();
   const cdn::DeploymentId dead = victim.load(std::memory_order_acquire);
@@ -352,6 +353,235 @@ TEST(MapMakerLiveness, MidBuildTransitionSurvivesToTheNextTick) {
   EXPECT_TRUE(maker.current()->clusters()[0].servers.empty());
 }
 
+// The wake protocol: the background thread sleeps until the watched
+// monitor's clock makes a probe due. A lost wake-up (a clock change that
+// lands between the thread's predicate check and its wait) would leave a
+// flap unpublished, so every flap here is driven by exactly one
+// clock.advance(1) and must publish a routing-around map within 2s.
+
+/// Poll until `done(current map)` holds or `timeout` passes.
+template <typename Pred>
+bool published_within(const MapMaker& maker, std::chrono::milliseconds timeout, Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done(*maker.current())) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(20us);
+  }
+  return true;
+}
+
+/// An oracle that reports one cluster (or none, at -1) dead; probes at
+/// every simulated second with single-probe thresholds, as a harness
+/// flapping clusters through the production trigger would configure.
+struct FlapOracle {
+  std::atomic<std::int64_t> down{-1};
+  cdn::LivenessMonitor monitor(cdn::CdnNetwork* network, const util::SimClock* clock) {
+    return cdn::LivenessMonitor{
+        network, clock,
+        [this](cdn::DeploymentId id, std::size_t) {
+          return static_cast<std::int64_t>(id) != down.load(std::memory_order_acquire);
+        },
+        cdn::LivenessConfig{1, 1, 1}};
+  }
+};
+
+MapMakerConfig liveness_only_config() {
+  MapMakerConfig config;
+  config.rescore_interval_s = 1'000'000;
+  return config;
+}
+
+TEST(MapMakerLiveness, BackToBackFlapsEachRemapOnOneClockAdvance) {
+  LivenessFixture fx;
+  util::SimClock clock;
+  FlapOracle oracle;
+  cdn::LivenessMonitor monitor = oracle.monitor(&fx.network, &clock);
+  MapMaker maker{&fx.mapping, &clock, liveness_only_config()};
+  maker.watch(&monitor);
+  maker.start(1h);
+
+  constexpr int kFlaps = 200;
+  for (int i = 0; i < kFlaps; ++i) {
+    const auto ldns = static_cast<topo::LdnsId>(i % fx.world.ldnses.size());
+    const auto before = maker.current()->map(ldns, std::nullopt, "www.g.cdn.example");
+    ASSERT_TRUE(before.has_value());
+    const cdn::DeploymentId victim = before->deployment;
+    oracle.down.store(victim, std::memory_order_release);
+    clock.advance(1);
+    ASSERT_TRUE(published_within(maker, 2s, [&](const MapSnapshot& map) {
+      const auto routed = map.map(ldns, std::nullopt, "www.g.cdn.example");
+      return routed.has_value() && routed->deployment != victim;
+    })) << "kill " << i << " of cluster " << victim << " never routed around";
+    oracle.down.store(-1, std::memory_order_release);
+    clock.advance(1);
+    ASSERT_TRUE(published_within(maker, 2s, [&](const MapSnapshot& map) {
+      return !map.clusters()[victim].servers.empty();
+    })) << "revive " << i << " of cluster " << victim << " never published";
+  }
+  maker.stop();
+  EXPECT_EQ(maker.rebuilds_for(RebuildReason::liveness), 2U * kFlaps);
+  EXPECT_EQ(maker.rebuild_failures(), 0U);
+}
+
+TEST(MapMakerLiveness, TwoMakersOnOneClockBothRemap) {
+  LivenessFixture fx_a;
+  LivenessFixture fx_b;
+  util::SimClock clock;
+  FlapOracle oracle_a;
+  FlapOracle oracle_b;
+  cdn::LivenessMonitor monitor_a = oracle_a.monitor(&fx_a.network, &clock);
+  cdn::LivenessMonitor monitor_b = oracle_b.monitor(&fx_b.network, &clock);
+  MapMaker maker_a{&fx_a.mapping, &clock, liveness_only_config()};
+  MapMaker maker_b{&fx_b.mapping, &clock, liveness_only_config()};
+  maker_a.watch(&monitor_a);
+  maker_b.watch(&monitor_b);
+  maker_a.start(1h);
+  maker_b.start(1h);
+
+  oracle_a.down.store(3, std::memory_order_release);
+  oracle_b.down.store(5, std::memory_order_release);
+  clock.advance(1);  // one clock change wakes both
+  EXPECT_TRUE(published_within(maker_a, 2s, [](const MapSnapshot& map) {
+    return map.clusters()[3].servers.empty();
+  }));
+  EXPECT_TRUE(published_within(maker_b, 2s, [](const MapSnapshot& map) {
+    return map.clusters()[5].servers.empty();
+  }));
+  maker_a.stop();
+  maker_b.stop();
+}
+
+TEST(MapMakerLiveness, DestroyedMakerIsNeverWokenAgain) {
+  LivenessFixture fx;
+  util::SimClock clock;
+  FlapOracle oracle;
+  cdn::LivenessMonitor monitor = oracle.monitor(&fx.network, &clock);
+  {
+    MapMaker doomed{&fx.mapping, &clock, liveness_only_config()};
+    doomed.watch(&monitor);
+    doomed.start(1h);
+    clock.advance(1);
+  }  // destroyed while started: the destructor must unsubscribe
+  // A dangling subscription would call into the freed maker (ASan).
+  for (int i = 0; i < 50; ++i) clock.advance(1);
+
+  // The clock and monitor carry on with a new maker.
+  MapMaker maker{&fx.mapping, &clock, liveness_only_config()};
+  maker.watch(&monitor);
+  maker.start(1h);
+  oracle.down.store(2, std::memory_order_release);
+  clock.advance(1);
+  EXPECT_TRUE(published_within(maker, 2s, [](const MapSnapshot& map) {
+    return map.clusters()[2].servers.empty();
+  }));
+  maker.stop();
+}
+
+// Fail-static: a rebuild that throws on the background thread used to
+// escape run_loop and std::terminate the process. It must instead be
+// counted, leave the last good map serving, not spin, and be retried on
+// the next wake.
+TEST(MapMakerLiveness, ThrowingBackgroundRebuildKeepsTheLastGoodMap) {
+  LivenessFixture fx;
+  util::SimClock clock;
+  FlapOracle oracle;
+  cdn::LivenessMonitor monitor = oracle.monitor(&fx.network, &clock);
+  std::atomic<bool> armed{false};
+  MapMakerConfig config = liveness_only_config();
+  config.after_build_hook = [&] {
+    if (armed.exchange(false, std::memory_order_acq_rel)) {
+      throw std::runtime_error{"injected rebuild failure"};
+    }
+  };
+  MapMaker maker{&fx.mapping, &clock, config};
+  maker.watch(&monitor);
+  (void)monitor.tick();  // the round due at time 0, before the thread owns the monitor
+  const std::uint64_t good_version = maker.version();
+
+  armed.store(true, std::memory_order_release);
+  maker.start(1h);
+  oracle.down.store(4, std::memory_order_release);
+  clock.advance(1);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (maker.rebuild_failures() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(maker.rebuild_failures(), 1U);
+  // No spin: without a new wake the failed rebuild is not retried.
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(maker.rebuild_failures(), 1U);
+  EXPECT_EQ(maker.version(), good_version);
+  EXPECT_FALSE(maker.current()->clusters()[4].servers.empty());  // last good map
+
+  clock.advance(1);  // the next due probe retries the unseen transition
+  EXPECT_TRUE(published_within(maker, 2s, [](const MapSnapshot& map) {
+    return map.clusters()[4].servers.empty();
+  }));
+  EXPECT_EQ(maker.rebuild_failures(), 1U);
+  EXPECT_GE(maker.rebuilds_for(RebuildReason::liveness), 1U);
+
+  // A failed requested rebuild is redone, still forced, at the next wake.
+  armed.store(true, std::memory_order_release);
+  maker.request_rebuild();
+  const auto request_deadline = std::chrono::steady_clock::now() + 5s;
+  while (maker.rebuild_failures() < 2 &&
+         std::chrono::steady_clock::now() < request_deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(maker.rebuild_failures(), 2U);
+  EXPECT_EQ(maker.rebuilds_for(RebuildReason::requested), 0U);
+  clock.advance(1);
+  const auto retry_deadline = std::chrono::steady_clock::now() + 5s;
+  while (maker.rebuilds_for(RebuildReason::requested) == 0 &&
+         std::chrono::steady_clock::now() < retry_deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  maker.stop();
+  EXPECT_EQ(maker.rebuilds_for(RebuildReason::requested), 1U);
+  EXPECT_EQ(maker.rebuild_failures(), 2U);
+}
+
+// A probe round whose oracle throws stays due; it is retried only once
+// the clock moves again, never in a spin.
+TEST(MapMakerLiveness, ThrowingProbeRetriesOnTheNextClockChange) {
+  LivenessFixture fx;
+  util::SimClock clock;
+  std::atomic<int> throws_left{0};
+  std::atomic<bool> cluster6_healthy{true};
+  cdn::LivenessMonitor monitor{&fx.network, &clock,
+                               [&](cdn::DeploymentId id, std::size_t) {
+                                 if (throws_left.load(std::memory_order_acquire) > 0) {
+                                   throws_left.fetch_sub(1, std::memory_order_acq_rel);
+                                   throw std::runtime_error{"probe failed"};
+                                 }
+                                 return id != 6 ||
+                                        cluster6_healthy.load(std::memory_order_acquire);
+                               },
+                               cdn::LivenessConfig{1, 1, 1}};
+  MapMaker maker{&fx.mapping, &clock, liveness_only_config()};
+  maker.watch(&monitor);
+  (void)monitor.tick();
+  maker.start(1h);
+
+  throws_left.store(1, std::memory_order_release);
+  cluster6_healthy.store(false, std::memory_order_release);
+  clock.advance(1);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (maker.rebuild_failures() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(maker.rebuild_failures(), 1U);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(maker.rebuild_failures(), 1U) << "a due probe that threw was retried in a spin";
+
+  clock.advance(1);
+  EXPECT_TRUE(published_within(maker, 2s, [](const MapSnapshot& map) {
+    return map.clusters()[6].servers.empty();
+  }));
+  maker.stop();
+  EXPECT_EQ(maker.rebuild_failures(), 1U);
+}
+
 // ---------------------------------------------------------------------------
 // TSan-gated: sharded scoring in the background thread racing
 // request_rebuild(), oracle flips, and lock-free readers.
@@ -369,7 +599,6 @@ TEST(ShardedConcurrency, PoolScoringRacesRequestsAndReaders) {
   config.rescore_interval_s = 1'000'000;
   config.scoring_shards = 4;
   config.publish_unchanged = true;
-  config.liveness_poll = 1ms;
   MapMaker maker{&fx.mapping, &clock, config};
   maker.watch(&monitor);
   maker.start(2ms);

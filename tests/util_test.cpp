@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/hash.h"
@@ -268,6 +269,30 @@ TEST(SimClock, AdvanceAndCompare) {
   EXPECT_EQ(clock.now().seconds(), 86400);
   EXPECT_LT(SimTime{5}, SimTime{6});
   EXPECT_DOUBLE_EQ((SimTime{86400} + 43200).days(), 1.5);
+}
+
+TEST(SimClock, SubscribersHearEveryChangeUntilUnsubscribed) {
+  SimClock clock;
+  int a = 0;
+  int b = 0;
+  SimClock::Subscription sub_a = clock.subscribe([&a] { ++a; });
+  {
+    const SimClock::Subscription sub_b = clock.subscribe([&b] { ++b; });
+    clock.advance(1);
+    clock.set(SimTime{10});
+  }  // sub_b unsubscribes here
+  clock.advance(1);
+  EXPECT_EQ(a, 3);
+  EXPECT_EQ(b, 2);
+
+  SimClock::Subscription moved = std::move(sub_a);  // ownership moves, no re-subscribe
+  clock.advance(1);
+  EXPECT_EQ(a, 4);
+  moved.reset();
+  moved.reset();  // idempotent
+  clock.advance(1);
+  EXPECT_EQ(a, 4);
+  EXPECT_EQ(clock.now().seconds(), 13);
 }
 
 // ---------- strings ----------
