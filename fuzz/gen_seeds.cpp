@@ -102,18 +102,18 @@ void ecs_seeds(const fs::path& dir) {
     ClientSubnetOption::for_query(*eum::net::IpAddr::parse("203.0.113.7"), 24)
         .with_scope(20)
         .encode_data(writer);
-    write_file(dir, "v4_24_scope20.bin", writer.buffer());
+    write_file(dir, "v4_24_scope20.bin", writer.take());
   }
   {
     eum::dns::ByteWriter writer;
     ClientSubnetOption::for_query(*eum::net::IpAddr::parse("2001:db8::1"), 56)
         .encode_data(writer);
-    write_file(dir, "v6_56.bin", writer.buffer());
+    write_file(dir, "v6_56.bin", writer.take());
   }
   {
     eum::dns::ByteWriter writer;
     ClientSubnetOption::for_query(*eum::net::IpAddr::parse("10.1.2.3"), 21).encode_data(writer);
-    write_file(dir, "v4_21_oddbits.bin", writer.buffer());
+    write_file(dir, "v4_21_oddbits.bin", writer.take());
   }
   write_file(dir, "v4_source0.bin", {0x00, 0x01, 0, 0});
 }

@@ -80,6 +80,10 @@ SERVE_PATH_FILES = {
     "src/dnsserver/answer_cache.cpp",
     "src/control/map_snapshot.cpp",
     "src/cdn/mapping.cpp",
+    # The cache-miss path: decode -> handle -> encode into the tx arena.
+    "src/dns/name.cpp",
+    "src/dns/message.cpp",
+    "src/dnsserver/authoritative.cpp",
     "src/obs/trace.h",
     "src/obs/trace.cpp",
     # The extracted lock-free kernels (PR 10): these ARE the protocols

@@ -308,6 +308,12 @@ def main() -> int:
         expect_rule="serve-path-lock",
     )
     case(
+        "mutex in the name encoder on the miss path fires",
+        "src/dns/name.cpp",
+        "#include <mutex>\nstd::mutex m;\n",
+        expect_rule="serve-path-lock",
+    )
+    case(
         "mutex in the flight recorder fires",
         "src/obs/trace.cpp",
         "#include <mutex>\nstd::mutex m;\n",

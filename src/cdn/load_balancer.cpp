@@ -60,34 +60,46 @@ std::optional<DeploymentId> GlobalLoadBalancer::assign_for_cluster(topo::LdnsId 
   return pick(scoring_->cluster_candidates(ldns), scoring_->ldns_target(ldns), load_units);
 }
 
+std::uint64_t rendezvous_weight(std::uint64_t domain_hash, net::IpV4Addr server) noexcept {
+  return util::hash_combine(domain_hash, static_cast<std::uint64_t>(server.value()));
+}
+
+RendezvousTop::RendezvousTop(std::size_t k) : k_(k) {
+  if (k_ > kInline) spill_.resize(k_);
+}
+
+void RendezvousTop::offer(std::uint64_t weight, std::size_t index) noexcept {
+  RankedServer* top = data();
+  if (filled_ == k_) {
+    // Full: only a strictly heavier server displaces the lightest kept.
+    if (filled_ == 0 || weight <= top[filled_ - 1].weight) return;
+    --filled_;
+  }
+  std::size_t pos = filled_++;
+  for (; pos > 0 && top[pos - 1].weight < weight; --pos) top[pos] = top[pos - 1];
+  top[pos] = RankedServer{weight, index};
+}
+
 std::vector<net::IpAddr> LocalLoadBalancer::pick_servers(Deployment& deployment,
                                                          std::string_view domain,
                                                          double load_units,
                                                          double server_capacity) const {
   // Rendezvous hashing: rank servers by hash(domain, server); the top
   // ranks are the domain's "home" servers in this cluster.
-  struct Ranked {
-    std::uint64_t weight;
-    std::size_t index;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(deployment.servers.size());
+  RendezvousTop top{servers_per_answer_};
   const std::uint64_t domain_hash = util::fnv1a64(domain);
   for (std::size_t i = 0; i < deployment.servers.size(); ++i) {
     const Server& server = deployment.servers[i];
     if (!server.alive) continue;
     if (server_capacity > 0.0 && server.load + load_units > server_capacity) continue;
-    ranked.push_back(Ranked{
-        util::hash_combine(domain_hash, static_cast<std::uint64_t>(server.address.value())), i});
+    top.offer(rendezvous_weight(domain_hash, server.address), i);
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.weight > b.weight; });
 
   std::vector<net::IpAddr> picked;
-  const std::size_t want = std::min(servers_per_answer_, ranked.size());
+  const std::size_t want = top.ranked().size();
   picked.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    Server& server = deployment.servers[ranked[i].index];
+  for (const RankedServer& ranked : top.ranked()) {
+    Server& server = deployment.servers[ranked.index];
     server.load += load_units / static_cast<double>(want);
     picked.emplace_back(server.address);
   }

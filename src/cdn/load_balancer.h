@@ -9,6 +9,8 @@
 // returned "as additional precaution against transient failures" (§1).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -55,6 +57,51 @@ class GlobalLoadBalancer {
   const Scoring* scoring_;
   const PingMesh* mesh_;
   GlobalLbConfig config_;
+};
+
+/// The rendezvous weight of `server` for a domain whose name hashes to
+/// `domain_hash` (util::fnv1a64 of the name). Every server ranking — live
+/// and snapshot — uses this one formula, so a domain keeps its "home"
+/// servers whichever path answered.
+[[nodiscard]] std::uint64_t rendezvous_weight(std::uint64_t domain_hash,
+                                              net::IpV4Addr server) noexcept;
+
+/// One rendezvous-hashing rank entry: a server's weight and its index in
+/// the cluster's server list.
+struct RankedServer {
+  std::uint64_t weight = 0;
+  std::size_t index = 0;
+};
+
+/// Partial selection of the `k` heaviest servers, best first, without
+/// sorting the whole cluster. Offer servers in ascending index order: an
+/// equal weight ranks behind the earlier server, so ranked() equals a
+/// stable descending sort by weight cut to `k`. Up to kInline entries
+/// live in place, so the usual answer size never allocates.
+class RendezvousTop {
+ public:
+  static constexpr std::size_t kInline = 8;
+
+  explicit RendezvousTop(std::size_t k);
+
+  void offer(std::uint64_t weight, std::size_t index) noexcept;
+
+  [[nodiscard]] std::span<const RankedServer> ranked() const noexcept {
+    return {data(), filled_};
+  }
+
+ private:
+  [[nodiscard]] RankedServer* data() noexcept {
+    return k_ <= kInline ? inline_.data() : spill_.data();
+  }
+  [[nodiscard]] const RankedServer* data() const noexcept {
+    return k_ <= kInline ? inline_.data() : spill_.data();
+  }
+
+  std::size_t k_;
+  std::size_t filled_ = 0;
+  std::array<RankedServer, kInline> inline_{};
+  std::vector<RankedServer> spill_;  ///< used only when k_ > kInline
 };
 
 /// Local load balancing within one cluster.

@@ -113,7 +113,10 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
       }
     }
 
-    const auto result = map(ldns->id, block, query.qname.to_string());
+    // The qname renders into a stack buffer: names longer than the
+    // small-string capacity would otherwise allocate on every miss.
+    dns::DnsName::TextBuffer qname{};
+    const auto result = map(ldns->id, block, query.qname.to_text(qname));
     // Flight-recorder span (thread-local tracer; null on untraced
     // transports): the decision's policy inputs and outcome. This is the
     // slow path — the wire answer cache absorbed repeats — so the detail
@@ -164,7 +167,8 @@ dnsserver::DynamicAnswerFn MappingSystem::top_level_handler(const dns::DnsName& 
       const net::IpPrefix block24{query.client_block->address(), 24};
       if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) block = found->id;
     }
-    const auto result = map(ldns->id, block, query.qname.to_string());
+    dns::DnsName::TextBuffer qname{};
+    const auto result = map(ldns->id, block, query.qname.to_text(qname));
     if (!result) return std::nullopt;
 
     dnsserver::DynamicAnswer answer;
@@ -188,8 +192,9 @@ dnsserver::DynamicAnswerFn MappingSystem::cluster_ns_handler() {
     // The global choice was made by the delegation; this answer holds for
     // any client the resolver asks for.
     answer.ecs_scope_len = 0;
+    dns::DnsName::TextBuffer qname{};
     answer.addresses = local_lb_.pick_servers(network_->deployments()[cluster->id],
-                                              query.qname.to_string());
+                                              query.qname.to_text(qname));
     if (answer.addresses.empty()) return std::nullopt;
     if (config_.serve_ipv6) {
       const std::size_t v4_count = answer.addresses.size();

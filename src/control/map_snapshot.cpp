@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "cdn/load_balancer.h"
 #include "util/hash.h"
 
 namespace eum::control {
@@ -257,25 +258,14 @@ std::optional<cdn::MapResult> MapSnapshot::pick(std::span<const cdn::Candidate> 
   // Rendezvous hashing over the frozen alive-server list, with the same
   // weight formula as the live LocalLoadBalancer so a domain keeps its
   // "home" servers whichever path answered (cache affinity).
-  struct Ranked {
-    std::uint64_t weight;
-    std::size_t index;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(cluster.servers.size());
+  cdn::RendezvousTop top{config_.servers_per_answer};
   const std::uint64_t domain_hash = util::fnv1a64(domain);
   for (std::size_t i = 0; i < cluster.servers.size(); ++i) {
-    ranked.push_back(Ranked{
-        util::hash_combine(domain_hash,
-                           static_cast<std::uint64_t>(cluster.servers[i].v4().value())),
-        i});
+    top.offer(cdn::rendezvous_weight(domain_hash, cluster.servers[i].v4()), i);
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.weight > b.weight; });
-  const std::size_t want = std::min(config_.servers_per_answer, ranked.size());
-  result.servers.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    result.servers.push_back(cluster.servers[ranked[i].index]);
+  result.servers.reserve(top.ranked().size());
+  for (const cdn::RankedServer& ranked : top.ranked()) {
+    result.servers.push_back(cluster.servers[ranked.index]);
   }
   if (result.servers.empty()) return std::nullopt;
   return result;

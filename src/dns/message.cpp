@@ -36,7 +36,7 @@ Header unpack_flags(std::uint16_t id, std::uint16_t flags) {
 }
 
 void encode_record(const ResourceRecord& record, ByteWriter& writer,
-                   DnsName::CompressionMap* compression) {
+                   CompressionTable* compression) {
   record.name.encode(writer, compression);
   writer.u16(static_cast<std::uint16_t>(rdata_type(record.rdata, record.type)));
   writer.u16(static_cast<std::uint16_t>(record.rclass));
@@ -160,8 +160,17 @@ std::vector<net::IpAddr> Message::answer_addresses() const {
 }
 
 std::vector<std::uint8_t> Message::encode() const {
-  ByteWriter writer;
-  DnsName::CompressionMap compression;
+  // Encode into a per-thread scratch buffer that keeps its capacity, then
+  // copy out: the only allocation is the exact-size result.
+  thread_local std::vector<std::uint8_t> scratch;
+  encode_into(scratch);
+  return {scratch.begin(), scratch.end()};
+}
+
+void Message::encode_into(std::vector<std::uint8_t>& out) const {
+  out.clear();
+  ByteWriter writer{out};
+  CompressionTable compression;
 
   writer.u16(header.id);
   writer.u16(pack_flags(header));
@@ -179,7 +188,6 @@ std::vector<std::uint8_t> Message::encode() const {
   for (const ResourceRecord& r : authorities) encode_record(r, writer, &compression);
   for (const ResourceRecord& r : additionals) encode_record(r, writer, &compression);
   if (edns) encode_opt_record(*edns, writer);
-  return writer.take();
 }
 
 Message Message::decode(std::span<const std::uint8_t> wire) {

@@ -1,9 +1,9 @@
 // DNS messages (RFC 1035 §4) with EDNS0 integration.
 //
-// `Message` is the parsed form; `encode()` produces wire bytes with name
-// compression, and `Message::decode()` parses untrusted wire bytes with
-// full bounds/validity checking. The OPT pseudo-record is surfaced as
-// `Message::edns` rather than as an additional-section record.
+// `Message` is the parsed form; `encode()` / `encode_into()` produce wire
+// bytes with name compression, and `Message::decode()` parses untrusted
+// wire bytes with full bounds/validity checking. The OPT pseudo-record is
+// surfaced as `Message::edns` rather than as an additional-section record.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +77,11 @@ class Message {
 
   /// Serialize to wire format with name compression.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
+
+  /// encode() into `out`: clears it, then appends the message, keeping its
+  /// capacity, so encoding into a warmed buffer does not allocate. If this
+  /// throws, `out` holds a partial message.
+  void encode_into(std::vector<std::uint8_t>& out) const;
 
   /// Parse wire bytes. Throws WireError on malformed input.
   [[nodiscard]] static Message decode(std::span<const std::uint8_t> wire);

@@ -1,6 +1,7 @@
 #include "dns/name.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/hash.h"
 #include "util/strings.h"
@@ -18,7 +19,58 @@ void validate_label(std::string_view label) {
   if (label.size() > kMaxLabelLength) throw WireError{"DNS label longer than 63 octets"};
 }
 
+// Pointers can only address the first 16KiB of a message (14-bit offset).
+constexpr std::size_t kMaxPointerOffset = 0x3FFF;
+
+/// True when the name written at `offset` of `wire` is exactly `labels`.
+/// Every check is bounded by what has been written so far: the suffix being
+/// encoded may itself be registered before its remaining labels follow.
+bool written_name_equals(std::span<const std::uint8_t> wire, std::size_t offset,
+                         std::span<const std::string> labels) noexcept {
+  std::size_t pos = offset;
+  std::size_t next = 0;
+  while (true) {
+    if (pos >= wire.size()) return false;
+    const std::uint8_t length = wire[pos];
+    if ((length & kPointerTag) == kPointerTag) {
+      // Encoder-written pointers always lead to an earlier offset.
+      if (pos + 1 >= wire.size()) return false;
+      pos = (static_cast<std::size_t>(length & 0x3F) << 8) | wire[pos + 1];
+      continue;
+    }
+    if (length == 0) return next == labels.size();
+    if (next == labels.size()) return false;
+    const std::string& label = labels[next++];
+    if (length != label.size() || pos + 1 + length > wire.size() ||
+        std::memcmp(wire.data() + pos + 1, label.data(), length) != 0) {
+      return false;
+    }
+    pos += 1 + length;
+  }
+}
+
 }  // namespace
+
+void CompressionTable::add(std::uint16_t offset) {
+  if (inline_size_ < kInline) {
+    inline_[inline_size_++] = offset;
+  } else {
+    spill_.push_back(offset);
+  }
+}
+
+std::optional<std::uint16_t> CompressionTable::find(std::span<const std::uint8_t> wire,
+                                                    std::span<const std::string> labels) const {
+  // Each suffix is added at most once (only when find() missed it), so at
+  // most one offset matches and the scan order cannot change the answer.
+  for (std::size_t i = 0; i < inline_size_; ++i) {
+    if (written_name_equals(wire, inline_[i], labels)) return inline_[i];
+  }
+  for (const std::uint16_t offset : spill_) {
+    if (written_name_equals(wire, offset, labels)) return offset;
+  }
+  return std::nullopt;
+}
 
 DnsName DnsName::from_text(std::string_view text) {
   DnsName name;
@@ -74,34 +126,40 @@ DnsName DnsName::child(std::string_view label) const {
 }
 
 std::string DnsName::to_string() const {
-  std::string out;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (i != 0) out.push_back('.');
-    out += labels_[i];
-  }
-  return out;
+  TextBuffer buffer{};
+  return std::string{to_text(buffer)};
 }
 
-void DnsName::encode(ByteWriter& writer, CompressionMap* compression) const {
+std::string_view DnsName::to_text(TextBuffer& buffer) const noexcept {
+  // Labels are validated to <= 63 octets and names to <= 255 wire octets,
+  // so the text (wire length - 2 at most) always fits.
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < labels_.size(); ++i) {
+    if (i != 0) buffer[size++] = '.';
+    std::memcpy(buffer.data() + size, labels_[i].data(), labels_[i].size());
+    size += labels_[i].size();
+  }
+  return {buffer.data(), size};
+}
+
+void DnsName::encode(ByteWriter& writer, CompressionTable* compression) const {
   // Walk suffixes from the full name down: emit labels until a suffix is
-  // found in the compression map, then emit a pointer to it.
-  DnsName suffix = *this;
-  while (!suffix.is_root()) {
+  // found in the compression table, then emit a pointer to it.
+  const std::span<const std::string> labels{labels_};
+  for (std::size_t i = 0; i < labels.size(); ++i) {
     if (compression != nullptr) {
-      if (const auto it = compression->find(suffix); it != compression->end()) {
-        writer.u16(static_cast<std::uint16_t>(0xC000 | it->second));
+      const std::span<const std::string> suffix = labels.subspan(i);
+      if (const auto offset = compression->find(writer.buffer(), suffix)) {
+        writer.u16(static_cast<std::uint16_t>(0xC000 | *offset));
         return;
       }
-      // Pointers can only address the first 16KiB-ish of the message
-      // (14-bit offset); don't register suffixes beyond that.
-      if (writer.size() <= 0x3FFF) {
-        compression->emplace(suffix, static_cast<std::uint16_t>(writer.size()));
+      if (writer.size() <= kMaxPointerOffset) {
+        compression->add(static_cast<std::uint16_t>(writer.size()));
       }
     }
-    const std::string& label = suffix.labels_.front();
+    const std::string& label = labels[i];
     writer.u8(static_cast<std::uint8_t>(label.size()));
     writer.bytes({reinterpret_cast<const std::uint8_t*>(label.data()), label.size()});
-    suffix = suffix.parent();
   }
   writer.u8(0);  // root label terminator
 }

@@ -5,9 +5,10 @@
 // is hardened against pointer loops and forward pointers.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,32 @@
 #include "dns/wire.h"
 
 namespace eum::dns {
+
+/// Where the name suffixes already written to one message start, for
+/// compression (RFC 1035 §4.1.4). Entries are wire offsets into that
+/// message: a lookup compares labels against the bytes written there,
+/// following pointers, so no name is copied. The first kInline offsets
+/// live in place; the rest spill to a vector, so the table has no cap that
+/// would change the output.
+class CompressionTable {
+ public:
+  static constexpr std::size_t kInline = 32;
+
+  [[nodiscard]] std::size_t size() const noexcept { return inline_size_ + spill_.size(); }
+
+  /// Remember that a name suffix starts at `offset` of the message.
+  void add(std::uint16_t offset);
+
+  /// The offset at which the name with exactly `labels` (lowercase) was
+  /// written to `wire`, if one was added.
+  [[nodiscard]] std::optional<std::uint16_t> find(std::span<const std::uint8_t> wire,
+                                                  std::span<const std::string> labels) const;
+
+ private:
+  std::array<std::uint16_t, kInline> inline_{};
+  std::size_t inline_size_ = 0;
+  std::vector<std::uint16_t> spill_;
+};
 
 class DnsName {
  public:
@@ -48,6 +75,13 @@ class DnsName {
   /// Presentation form, lowercase, with no trailing dot ("" for the root).
   [[nodiscard]] std::string to_string() const;
 
+  /// Room for the presentation form of any valid name (at most 253 octets).
+  using TextBuffer = std::array<char, 256>;
+
+  /// to_string() rendered into `buffer` without allocating; the view
+  /// points into `buffer`.
+  [[nodiscard]] std::string_view to_text(TextBuffer& buffer) const noexcept;
+
   /// Case-insensitive equality/ordering (labels are stored lowercased, so
   /// this is plain comparison).
   friend bool operator==(const DnsName&, const DnsName&) noexcept = default;
@@ -55,13 +89,11 @@ class DnsName {
 
   // --- wire format ---
 
-  /// Offsets of name suffixes already written, for compression.
-  using CompressionMap = std::map<DnsName, std::uint16_t>;
-
   /// Encode with compression: longest previously written suffix becomes a
   /// pointer; newly written suffixes are registered in `compression`.
   /// Pass nullptr to disable compression (e.g. inside unknown RDATA).
-  void encode(ByteWriter& writer, CompressionMap* compression) const;
+  /// With compression, `writer` must hold the message from its first byte.
+  void encode(ByteWriter& writer, CompressionTable* compression) const;
 
   /// Decode at the reader's position, following compression pointers.
   /// On return the reader is positioned after the name as it appeared

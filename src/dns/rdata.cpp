@@ -19,7 +19,7 @@ struct TypeVisitor {
 
 struct EncodeVisitor {
   ByteWriter& writer;
-  DnsName::CompressionMap* compression;
+  CompressionTable* compression;
 
   void operator()(const ARecord& r) const {
     const auto bytes = r.address.bytes();
@@ -53,7 +53,7 @@ RecordType rdata_type(const RData& rdata, RecordType fallback) {
   return std::visit(TypeVisitor{fallback}, rdata);
 }
 
-void encode_rdata(const RData& rdata, ByteWriter& writer, DnsName::CompressionMap* compression) {
+void encode_rdata(const RData& rdata, ByteWriter& writer, CompressionTable* compression) {
   std::visit(EncodeVisitor{writer, compression}, rdata);
 }
 

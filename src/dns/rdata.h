@@ -65,7 +65,7 @@ using RData = std::variant<ARecord, AaaaRecord, NsRecord, CnameRecord, SoaRecord
 
 /// Encode RDATA (without the RDLENGTH prefix). Compression is applied to
 /// embedded names in NS/CNAME/SOA per RFC 1035 when `compression` is given.
-void encode_rdata(const RData& rdata, ByteWriter& writer, DnsName::CompressionMap* compression);
+void encode_rdata(const RData& rdata, ByteWriter& writer, CompressionTable* compression);
 
 /// Decode RDATA of `type` occupying exactly `rdlength` octets at the reader.
 [[nodiscard]] RData decode_rdata(RecordType type, std::uint16_t rdlength, ByteReader& reader);

@@ -5,7 +5,9 @@
 // messages arrive from the network and must never be trusted.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -71,40 +73,80 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
+/// Appends big-endian fields to a byte buffer: its own by default, or a
+/// caller's vector, which then keeps its capacity across messages. Writes
+/// go through a cursor into the vector's storage, which is sized ahead in
+/// chunks; the writer's destructor (or take()) trims the vector to the
+/// bytes written, so read the vector only after the writer is gone, and
+/// read buffer() meanwhile. Offsets and size() count from the start of the
+/// vector, so a message encoded into a caller's vector starts from an
+/// empty one.
 class ByteWriter {
  public:
-  ByteWriter() = default;
+  ByteWriter() noexcept : buffer_(&owned_) {}
+  /// Append to `out` instead of an owned buffer; `out` must outlive the writer.
+  explicit ByteWriter(std::vector<std::uint8_t>& out) noexcept
+      : buffer_(&out), size_(out.size()) {}
+  ~ByteWriter() { buffer_->resize(size_); }
+  // buffer_ may point at owned_: a copy or move would alias the source's.
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept { return buffer_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buffer_); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// The bytes written so far.
+  [[nodiscard]] std::span<const std::uint8_t> buffer() const noexcept {
+    return {buffer_->data(), size_};
+  }
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
+    buffer_->resize(size_);
+    size_ = 0;
+    return std::move(*buffer_);
+  }
 
-  void u8(std::uint8_t value) { buffer_.push_back(value); }
+  void u8(std::uint8_t value) { *claim(1) = value; }
 
   void u16(std::uint16_t value) {
-    buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-    buffer_.push_back(static_cast<std::uint8_t>(value));
+    std::uint8_t* out = claim(2);
+    out[0] = static_cast<std::uint8_t>(value >> 8);
+    out[1] = static_cast<std::uint8_t>(value);
   }
 
   void u32(std::uint32_t value) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-    }
+    std::uint8_t* out = claim(4);
+    out[0] = static_cast<std::uint8_t>(value >> 24);
+    out[1] = static_cast<std::uint8_t>(value >> 16);
+    out[2] = static_cast<std::uint8_t>(value >> 8);
+    out[3] = static_cast<std::uint8_t>(value);
   }
 
   void bytes(std::span<const std::uint8_t> data) {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
+    if (!data.empty()) std::memcpy(claim(data.size()), data.data(), data.size());
   }
 
   /// Overwrite a previously written 16-bit field (e.g. RDLENGTH backpatch).
   void patch_u16(std::size_t offset, std::uint16_t value) {
-    if (offset + 2 > buffer_.size()) throw WireError{"patch_u16 out of range"};
-    buffer_[offset] = static_cast<std::uint8_t>(value >> 8);
-    buffer_[offset + 1] = static_cast<std::uint8_t>(value);
+    if (offset + 2 > size_) throw WireError{"patch_u16 out of range"};
+    (*buffer_)[offset] = static_cast<std::uint8_t>(value >> 8);
+    (*buffer_)[offset + 1] = static_cast<std::uint8_t>(value);
   }
 
  private:
-  std::vector<std::uint8_t> buffer_;
+  /// Room for `n` more bytes at the cursor; advances the cursor past them.
+  std::uint8_t* claim(std::size_t n) {
+    if (buffer_->size() - size_ < n) {
+      // Size ahead geometrically: one resize (and zero-fill) per doubling.
+      buffer_->resize(size_ + std::max({n, size_, kMinGrowth}));
+    }
+    std::uint8_t* out = buffer_->data() + size_;
+    size_ += n;
+    return out;
+  }
+
+  static constexpr std::size_t kMinGrowth = 64;
+
+  std::vector<std::uint8_t> owned_;
+  std::vector<std::uint8_t>* buffer_;
+  std::size_t size_ = 0;  ///< bytes written; the vector may be longer
 };
 
 }  // namespace eum::dns

@@ -205,19 +205,21 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
     }
     dynamic_answers_->add();
     answer_source = obs::AnswerSource::dynamic_answer;
+    // Only addresses matching the question type become records (a
+    // dual-stack answer carries both families); answer order is kept.
+    response.answers.reserve(answer->addresses.size());
     for (const net::IpAddr& addr : answer->addresses) {
-      ResourceRecord record;
+      const RecordType type = addr.is_v4() ? RecordType::A : RecordType::AAAA;
+      if (type != question.type) continue;
+      ResourceRecord& record = response.answers.emplace_back();
       record.name = question.name;
+      record.type = type;
       record.ttl = answer->ttl;
       if (addr.is_v4()) {
-        record.type = RecordType::A;
         record.rdata = dns::ARecord{addr.v4()};
       } else {
-        record.type = RecordType::AAAA;
         record.rdata = dns::AaaaRecord{addr.v6()};
       }
-      // Only include records matching the question type.
-      if (record.type == question.type) response.answers.push_back(std::move(record));
     }
     if (ecs != nullptr && response.edns) {
       // Echo ECS with our scope; scope <= source per the paper's usage.

@@ -601,34 +601,43 @@ void UdpAuthorityServer::serve_datagram(UdpBatch& batch, std::size_t index,
     // (Message::edns) is NOT a droppable section: RFC 6891 §7 / RFC 7871
     // §7.2.2 require the TC=1 response to keep it so the client still
     // learns our payload limit and the answer's ECS scope.
-    std::vector<std::uint8_t> wire = response.encode();
-    const std::size_t limit = effective_udp_payload_limit(
-        query.edns.has_value(), query.edns ? query.edns->udp_payload_size : 0);
-    if (wire.size() > limit) {
-      response.answers.clear();
-      response.authorities.clear();
-      response.additionals.clear();
-      response.header.truncated = true;
-      metrics.truncated->add();
-      wire = response.encode();
+    // Both encodes write straight into the staged arena buffer, which
+    // keeps its capacity across batches: no per-miss allocation.
+    std::vector<std::uint8_t>& wire = batch.stage(peer);
+    try {
+      response.encode_into(wire);
+      const std::size_t limit = effective_udp_payload_limit(
+          query.edns.has_value(), query.edns ? query.edns->udp_payload_size : 0);
+      if (wire.size() > limit) {
+        response.answers.clear();
+        response.authorities.clear();
+        response.additionals.clear();
+        response.header.truncated = true;
+        metrics.truncated->add();
+        response.encode_into(wire);
+      }
+    } catch (...) {
+      batch.unstage();  // never send a partly encoded response
+      throw;
     }
     if (cache != nullptr && probe) cache->store(*probe, version, wire);
     if (obs::TraceSpan* span =
             tracer != nullptr ? tracer->span(obs::TraceStage::tx) : nullptr) {
       span->value = static_cast<std::int64_t>(wire.size());
     }
-    batch.stage(peer) = std::move(wire);
     return;
   } catch (const dns::WireError&) {
-    // Unparseable datagram: best-effort FORMERR if we can extract an id.
+    // Unparseable datagram (or an unencodable answer): best-effort
+    // FORMERR if we can extract an id.
     metrics.wire_errors->add();
     if (datagram.size() < 2) return;  // too short even for an id; drop
+    response = dns::Message{};
     response.header.id = static_cast<std::uint16_t>((datagram[0] << 8) | datagram[1]);
     response.header.is_response = true;
     response.header.rcode = dns::Rcode::form_err;
   }
   std::vector<std::uint8_t>& wire = batch.stage(peer);
-  wire = response.encode();
+  response.encode_into(wire);
   if (obs::TraceSpan* span = tracer != nullptr ? tracer->span(obs::TraceStage::tx) : nullptr) {
     span->code = static_cast<std::int32_t>(response.header.rcode);
     span->value = static_cast<std::int64_t>(wire.size());

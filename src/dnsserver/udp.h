@@ -80,7 +80,15 @@ class UdpBatch {
   // cleared, capacity-retaining buffer to encode into; staging more than
   // `capacity()` datagrams throws std::out_of_range.
   std::vector<std::uint8_t>& stage(const UdpEndpoint& to);
+  /// Withdraw the most recently staged response; its buffer keeps its
+  /// capacity for the next stage(). Precondition: staged() > 0.
+  void unstage() noexcept { --staged_; }
   [[nodiscard]] std::size_t staged() const noexcept { return staged_; }
+  /// The bytes last staged in slot `i` (< capacity()); a flush leaves
+  /// them in place until the slot is staged again.
+  [[nodiscard]] std::span<const std::uint8_t> staged_datagram(std::size_t i) const noexcept {
+    return tx_[i];
+  }
   void clear_staged() noexcept { staged_ = 0; }
 
  private:
@@ -272,6 +280,12 @@ class UdpAuthorityServer {
   /// Serve single-threaded until `stop` becomes true (checked between
   /// datagrams).
   void serve_until(const std::atomic<bool>& stop);
+
+  /// Worker `worker`'s datagram arena, as the last serve round left it.
+  /// Only for single-threaded callers (serve_once), never beside start().
+  [[nodiscard]] const UdpBatch& worker_batch(std::size_t worker) const {
+    return batches_.at(worker);
+  }
 
   [[nodiscard]] UdpServerStats stats() const;
 

@@ -382,6 +382,37 @@ TEST(LocalLoadBalancer, SameDomainSameServers) {
   EXPECT_EQ(first.size(), 2U);
 }
 
+TEST(RendezvousTop, MatchesSortReferenceWithTiesByIndex) {
+  util::Rng rng{0x4e5d};
+  const auto below = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t servers = below(40);
+    // Half the trials draw weights from a handful of values, forcing ties;
+    // the rest use full 64-bit rendezvous weights.
+    const bool ties = trial % 2 == 0;
+    std::vector<RankedServer> all(servers);
+    for (std::size_t i = 0; i < servers; ++i) {
+      all[i] = RankedServer{ties ? below(4) : rendezvous_weight(rng(), net::IpV4Addr{10, 0, 0, 1}),
+                            i};
+    }
+    // k from 0 up past the server count, across the inline/spill boundary.
+    const std::size_t k = below(RendezvousTop::kInline + 6);
+    RendezvousTop top{k};
+    for (const RankedServer& r : all) top.offer(r.weight, r.index);
+
+    std::vector<RankedServer> reference = all;
+    std::sort(reference.begin(), reference.end(), [](const RankedServer& a, const RankedServer& b) {
+      return a.weight != b.weight ? a.weight > b.weight : a.index < b.index;
+    });
+    reference.resize(std::min(k, servers));
+    ASSERT_EQ(top.ranked().size(), reference.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(top.ranked()[i].index, reference[i].index) << "trial " << trial << " rank " << i;
+      ASSERT_EQ(top.ranked()[i].weight, reference[i].weight) << "trial " << trial << " rank " << i;
+    }
+  }
+}
+
 TEST(LocalLoadBalancer, DifferentDomainsSpreadAcrossServers) {
   CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 8);
   Deployment& cluster = network.deployments()[0];

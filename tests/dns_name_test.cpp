@@ -79,7 +79,7 @@ TEST(DnsName, Ordering) {
 
 std::vector<std::uint8_t> encode_one(const DnsName& name) {
   ByteWriter writer;
-  DnsName::CompressionMap compression;
+  CompressionTable compression;
   name.encode(writer, &compression);
   return writer.take();
 }
@@ -104,7 +104,7 @@ TEST(DnsNameWire, RootRoundTrip) {
 
 TEST(DnsNameWire, CompressionSharesSuffix) {
   ByteWriter writer;
-  DnsName::CompressionMap compression;
+  CompressionTable compression;
   const DnsName first = DnsName::from_text("a.example.com");
   const DnsName second = DnsName::from_text("b.example.com");
   first.encode(writer, &compression);
@@ -122,7 +122,7 @@ TEST(DnsNameWire, CompressionSharesSuffix) {
 
 TEST(DnsNameWire, IdenticalNameBecomesPurePointer) {
   ByteWriter writer;
-  DnsName::CompressionMap compression;
+  CompressionTable compression;
   const DnsName name = DnsName::from_text("x.y.z");
   name.encode(writer, &compression);
   const std::size_t first_size = writer.size();
@@ -186,7 +186,7 @@ TEST(DnsNameWire, PointerChainDecodes) {
   // "example.com" at 0; "www" + pointer at offset 13; then a name that is
   // just a pointer to offset 13 ("www.example.com").
   ByteWriter writer;
-  DnsName::CompressionMap compression;
+  CompressionTable compression;
   DnsName::from_text("example.com").encode(writer, &compression);
   const auto www_offset = static_cast<std::uint16_t>(writer.size());
   DnsName::from_text("www.example.com").encode(writer, &compression);
@@ -201,7 +201,7 @@ TEST(DnsNameWire, PointerChainDecodes) {
 
 TEST(DnsNameWire, CursorRestoredAfterPointer) {
   ByteWriter writer;
-  DnsName::CompressionMap compression;
+  CompressionTable compression;
   DnsName::from_text("suffix.net").encode(writer, &compression);
   DnsName::from_text("a.suffix.net").encode(writer, &compression);
   writer.u16(0xBEEF);  // trailing data after the compressed name

@@ -35,6 +35,9 @@ TEST(UdpBatch, CapacityClampedAndStageBounded) {
   batch.stage(to).push_back(2);
   EXPECT_EQ(batch.staged(), 2U);
   EXPECT_THROW((void)batch.stage(to), std::out_of_range);
+  batch.unstage();
+  EXPECT_EQ(batch.staged(), 1U);
+  EXPECT_TRUE(batch.stage(to).empty());  // the withdrawn slot comes back cleared
   batch.clear_staged();
   EXPECT_EQ(batch.staged(), 0U);
 }
@@ -49,6 +52,46 @@ TEST(UdpBatch, StagedBuffersReuseCapacityAcrossBatches) {
   std::vector<std::uint8_t>& second = batch.stage(to);
   EXPECT_TRUE(second.empty());
   EXPECT_EQ(second.data(), data);  // same heap block: no per-batch allocation
+}
+
+TEST(UdpBatch, CacheMissesAndFormerrsEncodeIntoTheStagedBuffer) {
+  // Regression: the miss and FORMERR paths used to move-assign a freshly
+  // encoded vector into the staged slot, freeing the arena's retained
+  // capacity every time. Each batch here is one miss (no answer cache) or
+  // one FORMERR; all must reuse worker 0's one staged buffer.
+  AuthoritativeServer engine;
+  engine.add_dynamic_domain(
+      DnsName::from_text("g.cdn.example"),
+      [](const DynamicQuery&) -> std::optional<DynamicAnswer> {
+        DynamicAnswer answer;
+        answer.addresses = {v4("203.0.0.1"), v4("203.0.0.2")};
+        return answer;
+      });
+  UdpAuthorityServer server{&engine, loopback()};
+  UdpSocket client{loopback()};
+  const std::vector<std::vector<std::uint8_t>> datagrams{
+      Message::make_query(1, DnsName::from_text("q1.g.cdn.example"), RecordType::A).encode(),
+      Message::make_query(2, DnsName::from_text("q22.g.cdn.example"), RecordType::A).encode(),
+      {0x00, 0x03, 0xFF},  // unparseable: FORMERR with id 3
+  };
+  const std::uint8_t* storage = nullptr;
+  for (std::size_t i = 0; i < datagrams.size(); ++i) {
+    client.send_to(datagrams[i], server.endpoint());
+    ASSERT_TRUE(server.serve_once(2000ms));
+    const UdpBatch& batch = server.worker_batch(0);
+    ASSERT_GE(batch.capacity(), 1U);
+    const std::span<const std::uint8_t> staged = batch.staged_datagram(0);
+    if (i == 0) storage = staged.data();
+    EXPECT_EQ(staged.data(), storage) << "batch " << i;
+    UdpEndpoint peer;
+    const auto response = client.receive(2000ms, peer);
+    ASSERT_TRUE(response.has_value());
+    const Message decoded = Message::decode(*response);
+    EXPECT_EQ(decoded.header.id, i + 1);
+    EXPECT_EQ(decoded.header.rcode,
+              i < 2 ? dns::Rcode::no_error : dns::Rcode::form_err);
+  }
+  EXPECT_EQ(server.stats().wire_errors, 1U);
 }
 
 TEST(UdpBatch, BatchRoundTripManyQueries) {
